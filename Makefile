@@ -136,10 +136,14 @@ bench:
 bench-quick:
 	$(GO) run ./cmd/mlaas-bench -datasets 5 table2 timecost
 
-# One-iteration smoke of the batch compute kernels (blocked GEMM, batch
-# forward pass, batched distances): proves the benchmarks still compile and
-# run, not a measurement. Real numbers (-benchtime=1s interleaved A/B) are
-# committed as BENCH_PR5.json; method in EXPERIMENTS.md.
+# One-iteration smoke of the compute kernels (blocked GEMM, batch forward
+# pass, batched distances, MLP training): proves the benchmarks still
+# compile and run, not a measurement. It also cross-compiles for arm64 and
+# 386, where AdamRow has no assembly and the scalar fallback must build.
+# Real numbers come from interleaved A/B runs committed under perf/results/;
+# method in EXPERIMENTS.md.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkGEMM$$|MLPForwardBatch|KNNPredictBatch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkGEMM$$|MLPForwardBatch|MLPFit|KNNPredictBatch' \
 		-benchtime 1x ./internal/linalg ./internal/classifiers
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...

@@ -368,8 +368,8 @@ func captureWindow(d time.Duration) time.Duration {
 }
 
 // perfRecord reshapes the report into the append-only perf/results schema.
-// perf.LoadgenResults is shared with the legacy-BENCH converter, so live
-// runs extend the same (name, unit) series the converted history started.
+// perf.LoadgenResults gives live runs the same (name, unit) series as the
+// committed loadgen history.
 func perfRecord(rep Report, label string) *perf.Record {
 	rec := &perf.Record{
 		Schema: perf.SchemaVersion,

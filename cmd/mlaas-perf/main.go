@@ -12,7 +12,6 @@
 //	                   [-threshold 0.10] [-noise-mult 2] [-report-only]
 //	mlaas-perf report  [-dir perf/results] [-kind ""] [-format text|json|benchfmt]
 //	                   [-record file]
-//	mlaas-perf convert -in BENCH_PR2.json -times "seed=...,pr2=..." [-dir perf/results]
 //
 // run executes the selected benchmark suite -count times (each round its
 // own `go test -bench` subprocess, so rounds are independent samples),
@@ -30,10 +29,6 @@
 // report renders every series' trajectory across the whole history;
 // -format benchfmt re-emits one record in the Go benchmark data format
 // for benchstat.
-//
-// convert is the one-time importer for the legacy BENCH_PR*.json files;
-// -times assigns each produced record the commit date its measurement
-// landed with.
 package main
 
 import (
@@ -43,7 +38,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"mlaasbench/internal/perf"
 )
@@ -51,7 +45,7 @@ import (
 // Default suite: the committed kernel benchmarks. Fast enough to run
 // -count 5 in minutes; the 16s/op sweep benchmarks are opt-in via -bench.
 const (
-	defaultBench = "BenchmarkGEMM$|MLPForwardBatch|KNNPredictBatch|WireCodec|DatasetLoad|ModelDecodeMLMF"
+	defaultBench = "BenchmarkGEMM$|MLPForwardBatch|MLPFit|KNNPredictBatch|WireCodec|DatasetLoad|ModelDecodeMLMF"
 	defaultPkgs  = "./internal/linalg,./internal/classifiers,./internal/wire,./internal/store"
 )
 
@@ -68,7 +62,7 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		fmt.Fprintln(stderr, "usage: mlaas-perf run|compare|report|convert [flags]")
+		fmt.Fprintln(stderr, "usage: mlaas-perf run|compare|report [flags]")
 		return exitErr
 	}
 	switch args[0] {
@@ -78,10 +72,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdCompare(args[1:], stdout, stderr)
 	case "report":
 		return cmdReport(args[1:], stdout, stderr)
-	case "convert":
-		return cmdConvert(args[1:], stdout, stderr)
 	default:
-		fmt.Fprintf(stderr, "mlaas-perf: unknown subcommand %q (want run, compare, report or convert)\n", args[0])
+		fmt.Fprintf(stderr, "mlaas-perf: unknown subcommand %q (want run, compare or report)\n", args[0])
 		return exitErr
 	}
 }
@@ -268,62 +260,4 @@ func cmdReport(args []string, stdout, stderr io.Writer) int {
 		return exitErr
 	}
 	return exitOK
-}
-
-func cmdConvert(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	in := fs.String("in", "", "legacy BENCH_PR*.json file to convert")
-	dir := fs.String("dir", "perf/results", "history directory to write records into")
-	times := fs.String("times", "", `timestamps per record arm, "arm=RFC3339,..." (e.g. "seed=2026-08-05T11:06:11Z,pr2=...")`)
-	if err := fs.Parse(args); err != nil {
-		return exitErr
-	}
-	if *in == "" {
-		fmt.Fprintln(stderr, "mlaas-perf: convert needs -in")
-		return exitErr
-	}
-	tm, err := parseTimes(*times)
-	if err != nil {
-		fmt.Fprintf(stderr, "mlaas-perf: %v\n", err)
-		return exitErr
-	}
-	blob, err := os.ReadFile(*in)
-	if err != nil {
-		fmt.Fprintf(stderr, "mlaas-perf: %v\n", err)
-		return exitErr
-	}
-	recs, err := perf.ConvertLegacy(blob, *in, tm)
-	if err != nil {
-		fmt.Fprintf(stderr, "mlaas-perf: %v\n", err)
-		return exitErr
-	}
-	for _, rec := range recs {
-		path, err := rec.WriteFile(*dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "mlaas-perf: %v\n", err)
-			return exitErr
-		}
-		fmt.Fprintf(stdout, "converted %s arm %q -> %s (%d series)\n", *in, rec.Label, path, len(rec.Results))
-	}
-	return exitOK
-}
-
-func parseTimes(s string) (map[string]time.Time, error) {
-	out := map[string]time.Time{}
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		arm, stamp, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -times entry %q (want arm=RFC3339)", part)
-		}
-		t, err := time.Parse(time.RFC3339, stamp)
-		if err != nil {
-			return nil, fmt.Errorf("bad -times entry %q: %w", part, err)
-		}
-		out[arm] = t
-	}
-	return out, nil
 }

@@ -59,3 +59,20 @@ func BenchmarkKNNPredictBatch(b *testing.B) {
 		_ = k.Predict(queries)
 	}
 }
+
+// BenchmarkMLPFit measures one default-shaped MLP fit (adam, relu, 16
+// hidden units, 60 epochs) on a 182×24 training set — the size of a
+// 70% training split of one benchmark-sweep dataset, where MLP fitting is
+// the largest cost.
+func BenchmarkMLPFit(b *testing.B) {
+	x, y := benchData(182, 24)
+	p := Params{"activation": "relu", "solver": "adam", "hidden": 16, "max_iter": 60}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := &MLP{params: p}
+		if err := m.Fit(x, y, rng.New(7)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -93,34 +93,35 @@ func (m *MLP) Fit(x [][]float64, y []int, r *rng.RNG) error {
 	m.w1flat = w1backing // rows alias it, so trained values stay current
 	m.b2 = 0
 
-	// Adam state.
+	// Adam state. The w1 moments are two contiguous hidden×d arrays laid
+	// out like w1backing, so AdamRow's lanes load each row contiguously.
 	type adamState struct{ m, v float64 }
 	var (
-		aw1 [][]adamState
-		ab1 []adamState
-		aw2 []adamState
-		ab2 adamState
+		mw1, vw1 []float64
+		ab1      []adamState
+		aw2      []adamState
+		ab2      adamState
 	)
 	if adam {
-		aw1backing := make([]adamState, hidden*d)
-		aw1 = make([][]adamState, hidden)
-		for h := range aw1 {
-			aw1[h] = aw1backing[h*d : (h+1)*d : (h+1)*d]
-		}
+		mw1 = make([]float64, hidden*d)
+		vw1 = make([]float64, hidden*d)
 		ab1 = make([]adamState, hidden)
 		aw2 = make([]adamState, hidden)
 	}
-	const beta1, beta2, eps = 0.9, 0.999, 1e-8
+	const beta1, beta2, eps = linalg.AdamBeta1, linalg.AdamBeta2, linalg.AdamEps
 	// Incrementally maintained powers of beta for Adam's bias correction —
 	// recomputing math.Pow per weight dominates training cost otherwise.
 	beta1Pow, beta2Pow := 1.0, 1.0
-	corr1, corr2 := 1.0, 1.0
+	var step linalg.AdamStep // this sample's constants, shared by every AdamRow
 
-	// The activation switch and the per-weight update are inlined into the
-	// training loop rather than closures: the update runs hidden×d times
-	// per sample and the call overhead is the single largest cost of the
-	// whole fit. The arithmetic is kept expression-for-expression identical
-	// to the closure form, so trained weights are bit-identical.
+	// Determinism contract: trained weights are bit-identical to the
+	// historical per-weight scalar loop. The w1 Adam update runs through
+	// linalg.AdamRow, which computes each weight with the same IEEE
+	// operations in Go's evaluation order on every path (AVX2 lanes or the
+	// scalar loop). The forward pre-activations are computed four hidden
+	// units per pass, each with its own ascending-k accumulator — the
+	// order linalg.Dot uses — and stay hook-free, because a kernel hook
+	// per training sample would swamp the linalg.* kernel timings.
 	actKind := actKindOf(activation)
 	order := make([]int, n)
 	for i := range order {
@@ -129,21 +130,42 @@ func (m *MLP) Fit(x [][]float64, y []int, r *rng.RNG) error {
 	z1 := make([]float64, hidden)
 	a1 := make([]float64, hidden)
 	nf := float64(n)
+	step.Alpha, step.N = alpha, nf
 	for epoch := 0; epoch < epochs; epoch++ {
 		r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		lr := 0.01
 		if !adam {
 			lr = 0.1 / (1 + 0.05*float64(epoch))
 		}
+		step.LR = lr
 		for _, i := range order {
 			beta1Pow *= beta1
 			beta2Pow *= beta2
-			corr1 = 1 / (1 - beta1Pow)
-			corr2 = 1 / (1 - beta2Pow)
-			xi := x[i]
+			step.Corr1 = 1 / (1 - beta1Pow)
+			step.Corr2 = 1 / (1 - beta2Pow)
+			corr1, corr2 := step.Corr1, step.Corr2
+			xi := x[i][:d]
 			// Forward.
-			for h := 0; h < hidden; h++ {
-				z := linalg.Dot(m.w1[h], xi) + m.b1[h]
+			h := 0
+			for ; h+3 < hidden; h += 4 {
+				r0 := w1backing[h*d : (h+1)*d][:len(xi)]
+				r1 := w1backing[(h+1)*d : (h+2)*d][:len(xi)]
+				r2 := w1backing[(h+2)*d : (h+3)*d][:len(xi)]
+				r3 := w1backing[(h+3)*d : (h+4)*d][:len(xi)]
+				var s0, s1, s2, s3 float64
+				for k, xv := range xi {
+					s0 += r0[k] * xv
+					s1 += r1[k] * xv
+					s2 += r2[k] * xv
+					s3 += r3[k] * xv
+				}
+				z1[h], z1[h+1], z1[h+2], z1[h+3] = s0, s1, s2, s3
+			}
+			for ; h < hidden; h++ {
+				z1[h] = linalg.Dot(m.w1[h], xi)
+			}
+			for h := range z1 {
+				z := z1[h] + m.b1[h]
 				z1[h] = z
 				switch actKind {
 				case actTanh:
@@ -184,16 +206,7 @@ func (m *MLP) Fit(x [][]float64, y []int, r *rng.RNG) error {
 					st2.m = beta1*st2.m + (1-beta1)*gw2
 					st2.v = beta2*st2.v + (1-beta2)*gw2*gw2
 					m.w2[h] -= lr * (st2.m * corr1) / (math.Sqrt(st2.v*corr2) + eps)
-					ast := aw1[h][:len(xi)]
-					for j, xj := range xi {
-						gw1 := gh*xj + alpha*row[j]/nf
-						st := &ast[j]
-						st.m = beta1*st.m + (1-beta1)*gw1
-						st.v = beta2*st.v + (1-beta2)*gw1*gw1
-						mhat := st.m * corr1
-						vhat := st.v * corr2
-						row[j] -= lr * mhat / (math.Sqrt(vhat) + eps)
-					}
+					linalg.AdamRow(row, mw1[h*d:(h+1)*d], vw1[h*d:(h+1)*d], xi, gh, &step)
 					stb := &ab1[h]
 					stb.m = beta1*stb.m + (1-beta1)*gh
 					stb.v = beta2*stb.v + (1-beta2)*gh*gh

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -239,6 +240,67 @@ func DotFrom(init float64, a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
+}
+
+// Adam's standard hyperparameters, fixed by AdamRow. They are untyped
+// constants, so 1-AdamBeta1 and 1-AdamBeta2 fold exactly to 0.1 and 0.001
+// before rounding to float64 — the values the vector kernel broadcasts.
+const (
+	AdamBeta1 = 0.9
+	AdamBeta2 = 0.999
+	AdamEps   = 1e-8
+)
+
+// AdamStep holds one training sample's Adam constants. Callers fill one
+// value per sample and pass its address to every AdamRow call of that
+// sample, so no struct is copied per row.
+type AdamStep struct {
+	LR    float64 // learning rate
+	Alpha float64 // L2 penalty
+	N     float64 // training-set size the penalty is spread over
+	Corr1 float64 // first-moment bias correction, 1/(1-β1ᵗ)
+	Corr2 float64 // second-moment bias correction, 1/(1-β2ᵗ)
+}
+
+// AdamRow applies one Adam step to a row of weights w whose loss gradient is
+// g·x[j] plus an L2 term, updating the moment estimates m and v in place:
+//
+//	grad = g·x[j] + (α·w[j])/N
+//	m[j] = β1·m[j] + (1-β1)·grad
+//	v[j] = β2·v[j] + ((1-β2)·grad)·grad
+//	w[j] = w[j] - (lr·(m[j]·corr1)) / (√(v[j]·corr2) + ε)
+//
+// w, m and v must be at least len(x) long and must not overlap.
+//
+// Determinism contract: every element goes through exactly these IEEE
+// operations in this order — the order Go evaluates adamRowGeneric's
+// expressions in — whichever path runs. On amd64 hosts with AVX2
+// (detected once at start-up), four elements per pass go through
+// packed-double instructions, one IEEE op per lane with no FMA contraction
+// and no reassociation. The scalar loop handles the tail shorter than four
+// and every other host. Results are therefore bit-identical across paths;
+// only NaN payloads are unspecified, as they are in Go itself. No kernel
+// hook fires: MLP training calls this once per hidden unit per sample.
+func AdamRow(w, m, v, x []float64, g float64, s *AdamStep) {
+	n := len(x)
+	w, m, v = w[:n], m[:n], v[:n]
+	i := 0
+	if useAVX2 && n >= 4 {
+		i = n &^ 3
+		adamRowAVX2(&w[0], &m[0], &v[0], &x[0], i, g, s)
+	}
+	adamRowGeneric(w[i:], m[i:], v[i:], x[i:], g, s)
+}
+
+func adamRowGeneric(w, m, v, x []float64, g float64, s *AdamStep) {
+	lr, alpha, n, corr1, corr2 := s.LR, s.Alpha, s.N, s.Corr1, s.Corr2
+	w, m, v = w[:len(x)], m[:len(x)], v[:len(x)]
+	for j, xj := range x {
+		grad := g*xj + alpha*w[j]/n
+		m[j] = AdamBeta1*m[j] + (1-AdamBeta1)*grad
+		v[j] = AdamBeta2*v[j] + (1-AdamBeta2)*grad*grad
+		w[j] -= lr * (m[j] * corr1) / (math.Sqrt(v[j]*corr2) + AdamEps)
+	}
 }
 
 // SquaredEuclideanBatch fills dst (row-major len(qs)×x.Rows, caller-owned)

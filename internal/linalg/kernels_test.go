@@ -264,3 +264,84 @@ func TestKernelHook(t *testing.T) {
 		t.Fatalf("hook still firing after removal")
 	}
 }
+
+// adamSpecial draws AdamRow inputs: mostly ordinary values, with NaN, ±Inf,
+// ±0, subnormals and huge magnitudes mixed in.
+func adamSpecial(rng *rand.Rand) float64 {
+	switch rng.Intn(16) {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	case 3:
+		return math.Copysign(0, -1)
+	case 4:
+		return 0
+	case 5:
+		return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+	case 6:
+		return -math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+	case 7:
+		return rng.NormFloat64() * 1e300
+	default:
+		return rng.NormFloat64()
+	}
+}
+
+// sameFloat is bit equality, except that any two NaNs match: Go leaves NaN
+// payloads unspecified, and which operand's payload an x86 op propagates
+// depends on register allocation.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestAdamRowMatchesScalar compares AdamRow, with the AVX2 path on and
+// forced off, against the scalar loop over every length 0–37 (each tail
+// residue, several full vector passes) and inputs seeded with NaN, ±Inf,
+// -0 and subnormals. On a host without AVX2 both arms run the scalar loop.
+func TestAdamRowMatchesScalar(t *testing.T) {
+	defer func(on bool) { useAVX2 = on }(useAVX2)
+	rng := rand.New(rand.NewSource(11))
+	for _, avx2 := range []bool{useAVX2, false} {
+		useAVX2 = avx2
+		for n := 0; n <= 37; n++ {
+			for trial := 0; trial < 20; trial++ {
+				var in [4][]float64 // w, m, v, x
+				for k := range in {
+					in[k] = make([]float64, n)
+					for j := range in[k] {
+						in[k][j] = adamSpecial(rng)
+						if k == 2 && trial%2 == 0 {
+							in[k][j] = math.Abs(in[k][j]) // keep √v real on half the trials
+						}
+					}
+				}
+				s := &AdamStep{LR: 0.01, Alpha: 1e-4, N: 182, Corr1: 1 / (1 - math.Pow(AdamBeta1, float64(1+trial))), Corr2: 1 / (1 - math.Pow(AdamBeta2, float64(1+trial)))}
+				if trial%5 == 4 {
+					s.Alpha, s.N = adamSpecial(rng), adamSpecial(rng)
+				}
+				g := adamSpecial(rng)
+				var want, got [3][]float64
+				for k := range want {
+					want[k] = append([]float64(nil), in[k]...)
+					got[k] = append([]float64(nil), in[k]...)
+				}
+				adamRowGeneric(want[0], want[1], want[2], in[3], g, s)
+				AdamRow(got[0], got[1], got[2], in[3], g, s)
+				for k, name := range []string{"w", "m", "v"} {
+					for j := range want[k] {
+						if !sameFloat(got[k][j], want[k][j]) {
+							t.Fatalf("avx2=%v n=%d trial=%d: %s[%d] = %v (%#x), want %v (%#x)", avx2, n, trial,
+								name, j, got[k][j], math.Float64bits(got[k][j]), want[k][j], math.Float64bits(want[k][j]))
+						}
+					}
+				}
+			}
+		}
+	}
+	assertPanics(t, "short w", func() {
+		AdamRow(make([]float64, 3), make([]float64, 4), make([]float64, 4), make([]float64, 4), 1, &AdamStep{})
+	})
+}

@@ -273,3 +273,22 @@ func ReadRecord(path string) (*Record, error) {
 	}
 	return &rec, nil
 }
+
+// LoadgenResults builds the standard series set for one loadgen pass, with
+// the same (name, unit) identities as the committed loadgen history, so
+// live runs extend those trajectories.
+func LoadgenResults(name string, reqPerSec, instPerSec, meanMs, p50Ms, p95Ms, p99Ms float64) []Result {
+	mk := func(unit string, v float64) Result {
+		r := Result{Name: name, Unit: unit, Runs: []float64{v}, HigherIsBetter: HigherBetterUnit(unit)}
+		r.Finalize()
+		return r
+	}
+	return []Result{
+		mk("req/s", reqPerSec),
+		mk("instances/s", instPerSec),
+		mk("mean_ms", meanMs),
+		mk("p50_ms", p50Ms),
+		mk("p95_ms", p95Ms),
+		mk("p99_ms", p99Ms),
+	}
+}
